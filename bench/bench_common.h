@@ -12,25 +12,56 @@
 //                    seconds while its acceptance verdict stays valid
 #pragma once
 
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <string>
 
-#include "apps/scenario.h"
 #include "util/table.h"
+#include "workload/catalog.h"
 
 namespace grid3::bench {
 
-inline double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::atof(v) : fallback;
+/// Reject a malformed knob: name the variable and its value, then exit
+/// non-zero rather than run a scenario nobody asked for.
+[[noreturn]] inline void bad_env(const char* name, const char* value,
+                                 const char* expected) {
+  std::cerr << "error: " << name << "=\"" << value << "\" is not "
+            << expected << "\n";
+  std::exit(2);
 }
 
-inline double job_scale() { return env_double("GRID3_JOB_SCALE", 1.0); }
-inline double cpu_scale() { return env_double("GRID3_CPU_SCALE", 1.0); }
+/// A scale knob: a finite number > 0, the whole string parsed.
+inline double env_scale(const char* name) {
+  const char* v = std::getenv(name);
+  if (v == nullptr) return 1.0;
+  char* end = nullptr;
+  errno = 0;
+  const double d = std::strtod(v, &end);
+  if (end == v || *end != '\0' || errno == ERANGE || !std::isfinite(d) ||
+      d <= 0.0) {
+    bad_env(name, v, "a number > 0");
+  }
+  return d;
+}
+
+inline double job_scale() { return env_scale("GRID3_JOB_SCALE"); }
+inline double cpu_scale() { return env_scale("GRID3_CPU_SCALE"); }
 inline std::uint64_t seed() {
-  return static_cast<std::uint64_t>(env_double("GRID3_SEED", 20031025));
+  const char* v = std::getenv("GRID3_SEED");
+  if (v == nullptr) return workload::ScenarioOptions{}.seed;
+  char* end = nullptr;
+  errno = 0;
+  // strtoull accepts a sign and negates "-5" into 2^64-5; only digits
+  // are a seed.
+  const unsigned long long n = std::strtoull(v, &end, 10);
+  if (*v < '0' || *v > '9' || *end != '\0' || errno == ERANGE) {
+    bad_env("GRID3_SEED", v, "an unsigned 64-bit integer");
+  }
+  return n;
 }
 
 /// CI smoke mode: reduced horizons, same acceptance semantics.
@@ -45,31 +76,25 @@ inline T quick_or(T full, T reduced) {
   return quick() ? reduced : full;
 }
 
-/// A scenario run bundled with its simulation clock.
-struct ScenarioRun {
-  sim::Simulation sim;
-  std::unique_ptr<apps::Scenario> scenario;
-
-  apps::Scenario& operator*() { return *scenario; }
-  apps::Scenario* operator->() { return scenario.get(); }
-};
-
-/// Run `months` of Grid2003 operations at the configured scales.
-inline std::unique_ptr<ScenarioRun> run_scenario(int months) {
-  auto run = std::make_unique<ScenarioRun>();
-  apps::ScenarioOptions opts;
-  opts.months = months;
-  opts.job_scale = job_scale();
-  opts.cpu_scale = cpu_scale();
-  opts.seed = seed();
+/// Run `months` of Grid2003 operations at the configured scales: the
+/// catalog's table1-7month entry, cut to `months`, under the paper's
+/// status-quo stack.
+inline std::unique_ptr<workload::CatalogRun> run_scenario(int months) {
+  workload::ScenarioSpec spec =
+      workload::ScenarioCatalog::get("table1-7month", seed());
+  spec.base.months = months;
+  spec.base.job_scale = job_scale();
+  spec.base.cpu_scale = cpu_scale();
+  const workload::ScenarioOptions& opts = spec.base;
   std::cout << "[scenario] months=" << months
             << " job_scale=" << opts.job_scale
             << " cpu_scale=" << opts.cpu_scale << " seed=" << opts.seed
             << " ... " << std::flush;
-  run->scenario = std::make_unique<apps::Scenario>(run->sim, opts);
-  run->scenario->run();
-  std::cout << "done (" << run->sim.executed() << " events, "
-            << run->scenario->grid().igoc().job_db().size()
+  auto run = std::make_unique<workload::CatalogRun>(
+      spec, /*quick=*/false, workload::legacy_stack());
+  run->run();
+  std::cout << "done (" << run->sim().executed() << " events, "
+            << run->scenario().grid().igoc().job_db().size()
             << " job records)\n\n";
   return run;
 }

@@ -150,29 +150,30 @@ CampaignResult run_campaign(bool incremental, bool print_tables,
   // while keeping the two-run equivalence diff inside the bench
   // catalogue's wall-clock budget.  Only the equivalence knobs under
   // test (rank mode, kernel) are overridden here.
-  const workload::ScenarioSpec spec =
+  workload::ScenarioSpec spec =
       workload::ScenarioCatalog::get("grid30-2month", bench::seed());
-  apps::ScenarioOptions opts = spec.options(bench::quick());
-  opts.job_scale *= bench::job_scale();
-  opts.cpu_scale = bench::cpu_scale();
-  opts.broker_incremental_rank = incremental;
+  spec.base.job_scale *= bench::job_scale();
+  spec.base.cpu_scale = bench::cpu_scale();
+  workload::StackConfig stack = workload::modern_stack();
+  stack.incremental_rank = incremental;
+  stack.health_breakers = false;
   // Legacy kernel: pure-heap event queue + full-graph fair-share
   // re-solve -- the pre-calendar baseline the campaign diff certifies
   // the fast kernel against, byte for byte.
-  opts.network_partial_reallocate = !legacy_kernel;
+  stack.legacy_kernel = legacy_kernel;
+  const workload::ScenarioOptions opts = spec.options(bench::quick());
   std::cout << "[campaign " << (incremental ? "incremental" : "full-rescore")
             << (legacy_kernel ? ", legacy kernel" : "")
             << "] months=" << opts.months << " job_scale=" << opts.job_scale
             << " replicas=" << kReplicas << " ... " << std::flush;
 
-  sim::QueueConfig qc;
-  qc.calendar = !legacy_kernel;
-  sim::Simulation sim{qc};
   const auto start = std::chrono::steady_clock::now();
-  apps::Scenario scenario{sim, opts};
-  scenario.run();
+  workload::CatalogRun run{spec, bench::quick(), stack};
+  run.run();
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - start;
+  const sim::Simulation& sim = run.sim();
+  workload::Scenario& scenario = run.scenario();
 
   CampaignResult out;
   out.wall_seconds = elapsed.count();

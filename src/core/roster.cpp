@@ -202,10 +202,11 @@ Assembled assemble_grid3(Grid3& grid, const AssembleOptions& opts) {
   }
 
   // Application packages in the iGOC Pacman cache.
-  for (const char* app_name :
-       {app::kAtlasGce, app::kCmsMop, app::kSdssCoadd, app::kLigoPulsar,
-        app::kBtevSim, app::kSnb, app::kGadu, app::kExerciser, app::kEntrada,
-        app::kNetloggerFtp}) {
+  const char* const kApps[] = {
+      app::kAtlasGce, app::kCmsMop,    app::kSdssCoadd, app::kLigoPulsar,
+      app::kBtevSim,  app::kSnb,       app::kGadu,      app::kExerciser,
+      app::kEntrada,  app::kNetloggerFtp};
+  for (const char* app_name : kApps) {
     pacman::add_application_package(grid.igoc().pacman_cache(), app_name,
                                     Time::minutes(20));
   }
@@ -219,18 +220,14 @@ Assembled assemble_grid3(Grid3& grid, const AssembleOptions& opts) {
     grid.add_site(cfg, reliability, rollover);
   }
 
-  if (opts.install_applications) {
-    const auto replicas =
-        static_cast<std::size_t>(std::max(1, opts.roster_replicas));
-    for (const char* app_name :
-         {app::kAtlasGce, app::kCmsMop, app::kSdssCoadd, app::kLigoPulsar,
-          app::kBtevSim, app::kSnb, app::kGadu, app::kExerciser,
-          app::kEntrada, app::kNetloggerFtp}) {
-      for (const std::string& site_name :
-           application_sites(app_name, roster, replicas)) {
-        if (Site* s = grid.site(site_name)) {
-          s->install_application(grid.igoc().pacman_cache(), app_name);
-        }
+  // Application packages on site subsets sized per Table 1.
+  const auto replicas =
+      static_cast<std::size_t>(std::max(1, opts.roster_replicas));
+  for (const char* app_name : kApps) {
+    for (const std::string& site_name :
+         application_sites(app_name, roster, replicas)) {
+      if (Site* s = grid.site(site_name)) {
+        s->install_application(grid.igoc().pacman_cache(), app_name);
       }
     }
   }

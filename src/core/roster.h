@@ -48,8 +48,6 @@ struct AssembleOptions {
   double max_reliability = 2.0;
   /// Register the Table 1 user population (102 authorized users).
   bool add_users = true;
-  /// Install application packages on site subsets sized per Table 1.
-  bool install_applications = true;
 };
 
 /// User credentials grouped by VO, as returned from assembly.

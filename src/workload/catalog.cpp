@@ -9,8 +9,8 @@
 
 namespace grid3::workload {
 
-apps::ScenarioOptions ScenarioSpec::options(bool quick) const {
-  apps::ScenarioOptions o = base;
+ScenarioOptions ScenarioSpec::options(bool quick) const {
+  ScenarioOptions o = base;
   if (quick) {
     o.months = quick_months;
     o.job_scale *= quick_job_scale;
@@ -23,7 +23,7 @@ std::string ScenarioSpec::serialize() const {
   os << "scenario " << name << " v" << version << " seed=" << base.seed
      << " months=" << base.months << " job_scale=" << base.job_scale
      << " cpu_scale=" << base.cpu_scale << " replicas=" << base.roster_replicas
-     << " standard_apps=" << (base.standard_apps ? 1 : 0)
+     << " standard_apps=" << (campaigns.empty() ? 1 : 0)
      << " quick=" << quick_months << "x" << quick_job_scale << "\n";
   for (const CampaignSpec& c : campaigns) os << c.serialize() << "\n";
   for (const std::string& b : collective_bundles) os << "bundle " << b << "\n";
@@ -142,8 +142,6 @@ ScenarioSpec base_spec(const std::string& name, std::uint64_t seed) {
   ScenarioSpec s;
   s.name = name;
   s.base.seed = seed;
-  s.base.broker_policy = broker::PolicyKind::kQueueDepth;
-  s.base.standard_apps = false;
   return s;
 }
 
@@ -151,7 +149,6 @@ ScenarioSpec make_grid30_2month(std::uint64_t seed) {
   ScenarioSpec s = base_spec("grid30-2month", seed);
   s.summary = "the bench/grid30 campaign: historical app mix at 10x scale";
   s.stressor = "fabric scale (270 sites, ~29k CPUs)";
-  s.base.standard_apps = true;
   s.base.months = 2;
   s.base.roster_replicas = 10;
   s.quick_months = 1;
@@ -163,7 +160,6 @@ ScenarioSpec make_table1_7month(std::uint64_t seed) {
   ScenarioSpec s = base_spec("table1-7month", seed);
   s.summary = "the full Table 1 reproduction: 7 months, historical app mix";
   s.stressor = "long-horizon accounting fidelity";
-  s.base.standard_apps = true;
   s.base.months = 7;
   s.quick_months = 1;
   s.quick_job_scale = 0.05;
@@ -175,7 +171,6 @@ ScenarioSpec make_sc2003_demo(std::uint64_t seed) {
   s.summary =
       "the two-month historical window covering the SC2003 demo burst";
   s.stressor = "gatekeeper overload under the conference push";
-  s.base.standard_apps = true;
   s.base.months = 2;
   // Quick mode keeps both months (the demo burst the placement layer
   // must absorb is in the second) and thins the workload instead.
@@ -314,35 +309,17 @@ ScenarioSpec ScenarioCatalog::get(const std::string& name,
   throw std::out_of_range("unknown catalog scenario: " + name);
 }
 
-StackConfig modern_stack() { return {}; }
-
-StackConfig legacy_stack() {
-  StackConfig s;
-  s.name = "legacy";
-  s.policy = broker::PolicyKind::kNone;
-  s.incremental_rank = false;
-  s.placement_leases = false;
-  s.health_breakers = false;
-  s.calendar_kernel = false;
-  s.partial_reallocate = false;
-  return s;
-}
-
 CatalogRun::CatalogRun(const ScenarioSpec& spec, bool quick,
                        const StackConfig& stack)
-    : spec_{spec}, stack_{stack}, opts_{spec.options(quick)} {
-  opts_.broker_policy = stack.policy;
-  opts_.broker_incremental_rank = stack.incremental_rank;
-  opts_.placement_leases = stack.placement_leases;
-  opts_.network_partial_reallocate = stack.partial_reallocate;
-
+    : spec_{spec}, stack_{stack} {
   sim::QueueConfig qc;
-  qc.calendar = stack.calendar_kernel;
+  qc.calendar = !stack.legacy_kernel;
   sim_ = std::make_unique<sim::Simulation>(qc);
   wall_start_ = std::chrono::steady_clock::now();
-  scenario_ = std::make_unique<apps::Scenario>(*sim_, opts_);
+  scenario_.reset(new Scenario(*sim_, spec_.options(quick), stack,
+                               /*demonstrators=*/spec_.campaigns.empty()));
   core::Grid3& grid = scenario_->grid();
-  if (stack.health_breakers) grid.attach_health();
+  const ScenarioOptions& opts = scenario_->options();
 
   // Arm collective bundles the calendar targets.  All-zero rates, so
   // arming adds no random outages -- only the scheduled windows fire.
@@ -361,13 +338,12 @@ CatalogRun::CatalogRun(const ScenarioSpec& spec, bool quick,
   // job_scale and clips its schedule to the run horizon.
   for (const CampaignSpec& c : spec_.campaigns) {
     CampaignSpec scaled = c;
-    scaled.arrivals.scale *= opts_.job_scale;
-    if (scaled.arrivals.months() > opts_.months) {
-      scaled.arrivals.monthly.resize(
-          static_cast<std::size_t>(opts_.months));
+    scaled.arrivals.scale *= opts.job_scale;
+    if (scaled.arrivals.months() > opts.months) {
+      scaled.arrivals.monthly.resize(static_cast<std::size_t>(opts.months));
     }
     auto driver = std::make_unique<CampaignDriver>(
-        grid, std::move(scaled), opts_.seed ^ fnv1a64(c.vo + "/" + c.app));
+        grid, std::move(scaled), opts.seed ^ fnv1a64(c.vo + "/" + c.app));
     for (const core::VoUsers& vu : scenario_->assembled().users) {
       if (vu.vo == c.vo) {
         driver->set_users(vu.app_admins, vu.users);
@@ -394,7 +370,7 @@ void CatalogRun::run_until(Time t) {
   sim_->run_until(t);
 }
 
-void CatalogRun::run() { run_until(util::month_start(opts_.months)); }
+void CatalogRun::run() { run_until(util::month_start(options().months)); }
 
 RunResult CatalogRun::finish() const {
   RunResult out;

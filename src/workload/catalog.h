@@ -1,15 +1,16 @@
 // The scenario catalog: named, versioned production scenarios, each
 // fully determined by (name, seed).
 //
-// Every catalog entry bundles a fabric configuration
-// (apps::ScenarioOptions), a set of per-VO campaigns (CampaignSpec;
-// empty for scenarios that replay the historical application
-// demonstrators), and an operations calendar.  run_scenario() executes
-// one entry under a named policy stack and returns the outcome plus a
-// deterministic digest, so every future feature lands as a
-// multi-workload result instead of a single-scenario anecdote --
-// docs/SCENARIOS.md is the human-readable reference,
-// bench/ablation_catalog the policy-stack comparison,
+// Every catalog entry bundles a fabric configuration (ScenarioOptions),
+// a set of per-VO campaigns (CampaignSpec; empty for scenarios that
+// replay the historical application demonstrators), and an operations
+// calendar.  CatalogRun is the one way to build a scenario: it
+// materializes an entry under a policy stack (StackConfig).
+// run_scenario() executes one entry under a named policy stack and
+// returns the outcome plus a deterministic digest, so every future
+// feature lands as a multi-workload result instead of a
+// single-scenario anecdote -- docs/SCENARIOS.md is the human-readable
+// reference, bench/ablation_catalog the policy-stack comparison,
 // bench/CATALOG_MANIFEST.json the determinism manifest CI gates on.
 #pragma once
 
@@ -19,10 +20,9 @@
 #include <string>
 #include <vector>
 
-#include "apps/scenario.h"
-#include "broker/rank_policy.h"
 #include "workload/campaign.h"
 #include "workload/ops_calendar.h"
+#include "workload/scenario.h"
 
 namespace grid3::workload {
 
@@ -32,15 +32,14 @@ struct ScenarioSpec {
   std::string summary;
   /// What the scenario is built to stress (docs/SCENARIOS.md column).
   std::string stressor;
-  /// Full-mode fabric + horizon options (seed already applied).  The
-  /// broker/kernel fields are defaults only; a policy stack overrides
-  /// them (see StackConfig).
-  apps::ScenarioOptions base;
+  /// Full-mode fabric + horizon options (seed already applied).
+  ScenarioOptions base;
   /// Quick-mode (GRID3_BENCH_QUICK) overrides: reduced horizon and a
   /// job-scale multiplier, same acceptance semantics.
   int quick_months = 1;
   double quick_job_scale = 1.0;
-  /// Workload-generator campaigns (empty = the historical app mix).
+  /// Workload-generator campaigns.  Empty = the historical app mix: the
+  /// scenario builds the seven demonstrators instead.
   std::vector<CampaignSpec> campaigns;
   OpsCalendar calendar;
   /// Collective bundles the runner arms (zero rates -- inert without
@@ -48,7 +47,7 @@ struct ScenarioSpec {
   std::vector<std::string> collective_bundles;
 
   /// Effective options for a full or quick run.
-  [[nodiscard]] apps::ScenarioOptions options(bool quick) const;
+  [[nodiscard]] ScenarioOptions options(bool quick) const;
   /// Canonical multi-line rendering (determinism probe for tests).
   [[nodiscard]] std::string serialize() const;
 };
@@ -62,23 +61,6 @@ class ScenarioCatalog {
   [[nodiscard]] static ScenarioSpec get(const std::string& name,
                                         std::uint64_t seed);
 };
-
-/// A policy stack: the placement/resilience feature set a scenario runs
-/// under.  The catalog comparison pits `modern_stack()` (incremental
-/// broker + leases + breakers + fast kernel) against `legacy_stack()`
-/// (the paper's favorite-sites status quo on the legacy kernel).
-struct StackConfig {
-  std::string name = "modern";
-  broker::PolicyKind policy = broker::PolicyKind::kQueueDepth;
-  bool incremental_rank = true;
-  bool placement_leases = true;
-  bool health_breakers = true;
-  bool calendar_kernel = true;
-  bool partial_reallocate = true;
-};
-
-[[nodiscard]] StackConfig modern_stack();
-[[nodiscard]] StackConfig legacy_stack();
 
 /// Outcome of one (scenario, stack) run.
 struct RunResult {
@@ -100,7 +82,7 @@ struct RunResult {
 };
 
 /// One catalog entry materialized against a live fabric: simulation,
-/// scenario (fabric + historical apps when the spec keeps them),
+/// scenario (fabric + historical apps when the spec has no campaigns),
 /// campaign drivers, armed collective bundles, and the compiled
 /// calendar.  Drivers needing mid-run control (ablations that break
 /// things at a chosen time) use this directly; run_scenario() is the
@@ -121,15 +103,16 @@ class CatalogRun {
   [[nodiscard]] RunResult finish() const;
 
   [[nodiscard]] sim::Simulation& sim() { return *sim_; }
-  [[nodiscard]] apps::Scenario& scenario() { return *scenario_; }
-  [[nodiscard]] const apps::ScenarioOptions& options() const { return opts_; }
+  [[nodiscard]] Scenario& scenario() { return *scenario_; }
+  [[nodiscard]] const ScenarioOptions& options() const {
+    return scenario_->options();
+  }
 
  private:
   ScenarioSpec spec_;
   StackConfig stack_;
-  apps::ScenarioOptions opts_;
   std::unique_ptr<sim::Simulation> sim_;
-  std::unique_ptr<apps::Scenario> scenario_;
+  std::unique_ptr<Scenario> scenario_;
   std::vector<std::unique_ptr<CampaignDriver>> drivers_;
   std::chrono::steady_clock::time_point wall_start_;
   bool started_ = false;

@@ -2,16 +2,19 @@
 // cases not covered by the per-module suites.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <ostream>
+
 #include "apps/cms.h"
 #include "apps/ligo.h"
 #include "apps/sdss.h"
-#include "apps/scenario.h"
 #include "core/metrics.h"
 #include "core/policy_audit.h"
 #include "monitoring/mdviewer.h"
 #include "monitoring/troubleshoot.h"
 #include "pacman/vdt.h"
 #include "util/calendar.h"
+#include "workload/catalog.h"
 
 namespace grid3 {
 namespace {
@@ -75,6 +78,11 @@ struct ScheduleCase {
   double expected_total;
   double tolerance;
 };
+
+// Print a case by its label: the default printer dumps the struct's
+// bytes, pointers included, so the discovered test names would change
+// from one build to the next.
+void PrintTo(const ScheduleCase& c, std::ostream* os) { *os << c.name; }
 
 class ScheduleTotals : public ::testing::TestWithParam<ScheduleCase> {};
 
@@ -246,23 +254,34 @@ TEST_F(ExtendedFixture, LatencyBreakdownAccountsWaits) {
   EXPECT_LE(lb.compute_efficiency(), 1.0);
 }
 
+/// The historical app mix (the catalog's table1-7month entry) at test
+/// scale, on the paper's status-quo stack, not yet started.
+std::unique_ptr<workload::CatalogRun> historical_run(double cpu_scale,
+                                                     double job_scale,
+                                                     int months,
+                                                     std::uint64_t seed) {
+  workload::ScenarioSpec spec =
+      workload::ScenarioCatalog::get("table1-7month", seed);
+  spec.base.cpu_scale = cpu_scale;
+  spec.base.job_scale = job_scale;
+  spec.base.months = months;
+  return std::make_unique<workload::CatalogRun>(spec, /*quick=*/false,
+                                                workload::legacy_stack());
+}
+
 TEST(ResourceFluctuation, CpuCountsVaryOverTheScenario) {
-  sim::Simulation sim;
-  apps::ScenarioOptions opts;
-  opts.cpu_scale = 0.2;
-  opts.job_scale = 0.01;
-  opts.months = 2;
-  opts.resource_fluctuation = true;
-  apps::Scenario sc{sim, opts};
-  sc.start();
-  const int before = sc.grid().total_cpus();
-  sc.run_until(util::month_start(2));
-  const int after = sc.grid().total_cpus();
+  const auto run =
+      historical_run(0.2, 0.01, 2, workload::ScenarioOptions{}.seed);
+  run->start();
+  core::Grid3& grid = run->scenario().grid();
+  const int before = grid.total_cpus();
+  run->run();
+  const int after = grid.total_cpus();
   // Shared sites resized at least once over two months.
   EXPECT_NE(before, after);
   // The milestone evaluator reports a peak >= the instantaneous count.
-  const auto m = core::compute_milestones(sc.grid(), Time::zero(),
-                                          sim.now());
+  const auto m = core::compute_milestones(grid, Time::zero(),
+                                          run->sim().now());
   EXPECT_GE(m.cpus_peak, static_cast<double>(after));
 }
 
@@ -272,33 +291,21 @@ TEST(ResourceFluctuation, CpuCountsVaryOverTheScenario) {
 // ---------------------------------------------------------------------
 TEST(Determinism, MonthlyHistogramsIdenticalAcrossRuns) {
   auto run_once = [] {
-    sim::Simulation s;
-    apps::ScenarioOptions opts;
-    opts.cpu_scale = 0.06;
-    opts.job_scale = 0.02;
-    opts.months = 2;
-    opts.seed = 424242;
-    apps::Scenario sc{s, opts};
-    sc.run();
-    return sc.grid().igoc().job_db().jobs_by_month(2);
+    const auto run = historical_run(0.06, 0.02, 2, 424242);
+    run->run();
+    return run->scenario().grid().igoc().job_db().jobs_by_month(2);
   };
   EXPECT_EQ(run_once(), run_once());
 }
 
 TEST(Determinism, DifferentSeedsDiverge) {
   auto run_with = [](std::uint64_t seed) {
-    sim::Simulation s;
-    apps::ScenarioOptions opts;
-    opts.cpu_scale = 0.06;
-    opts.job_scale = 0.02;
-    opts.months = 1;
-    opts.seed = seed;
-    apps::Scenario sc{s, opts};
-    sc.run();
+    const auto run = historical_run(0.06, 0.02, 1, seed);
+    run->run();
     // A fingerprint that is vanishingly unlikely to collide: total CPU
     // seconds across all records.
     double cpu = 0.0;
-    for (const auto& r : sc.grid().igoc().job_db().records()) {
+    for (const auto& r : run->scenario().grid().igoc().job_db().records()) {
       cpu += r.runtime().to_seconds();
     }
     return cpu;

@@ -2,38 +2,53 @@
 // checking the cross-module invariants the paper's evaluation relies on.
 #include <gtest/gtest.h>
 
-#include "apps/scenario.h"
+#include <memory>
+
 #include "core/metrics.h"
 #include "util/calendar.h"
+#include "workload/catalog.h"
 
-namespace grid3::apps {
+namespace grid3::workload {
 namespace {
+
+/// The historical app mix (the catalog's table1-7month entry) at test
+/// scale, on the paper's status-quo stack, run to its horizon.
+std::unique_ptr<CatalogRun> historical_run(double cpu_scale, double job_scale,
+                                           int months, std::uint64_t seed) {
+  ScenarioSpec spec = ScenarioCatalog::get("table1-7month", seed);
+  spec.base.cpu_scale = cpu_scale;
+  spec.base.job_scale = job_scale;
+  spec.base.months = months;
+  auto run = std::make_unique<CatalogRun>(spec, /*quick=*/false,
+                                          legacy_stack());
+  run->run();
+  return run;
+}
 
 /// One shared scenario run for all integration assertions (building and
 /// running it is the expensive part).
 class ScenarioTest : public ::testing::Test {
  protected:
+  static std::unique_ptr<CatalogRun> run;
   static sim::Simulation* sim;
   static Scenario* scenario;
 
   static void SetUpTestSuite() {
-    sim = new sim::Simulation();
-    ScenarioOptions opts;
-    opts.cpu_scale = 0.12;  // ~330 CPUs
-    opts.job_scale = 0.05;  // ~15k accounting records
-    opts.months = 3;        // Oct-Dec 2003 covers SC2003
-    scenario = new Scenario(*sim, opts);
-    scenario->run();
+    // ~330 CPUs, ~15k accounting records, Oct-Dec 2003 covers SC2003.
+    run = historical_run(/*cpu_scale=*/0.12, /*job_scale=*/0.05,
+                         /*months=*/3, ScenarioOptions{}.seed);
+    sim = &run->sim();
+    scenario = &run->scenario();
   }
 
   static void TearDownTestSuite() {
-    delete scenario;
     scenario = nullptr;
-    delete sim;
     sim = nullptr;
+    run.reset();
   }
 };
 
+std::unique_ptr<CatalogRun> ScenarioTest::run;
 sim::Simulation* ScenarioTest::sim = nullptr;
 Scenario* ScenarioTest::scenario = nullptr;
 
@@ -155,15 +170,8 @@ TEST_F(ScenarioTest, SiteCatalogSawAllSites) {
 TEST_F(ScenarioTest, DeterministicUnderSameSeed) {
   // A second, tiny scenario run twice gives identical accounting.
   auto run_once = [] {
-    sim::Simulation s;
-    ScenarioOptions opts;
-    opts.cpu_scale = 0.05;
-    opts.job_scale = 0.01;
-    opts.months = 1;
-    opts.seed = 777;
-    Scenario sc{s, opts};
-    sc.run();
-    return sc.grid().igoc().job_db().size();
+    const auto run = historical_run(0.05, 0.01, 1, 777);
+    return run->scenario().grid().igoc().job_db().size();
   };
   const auto a = run_once();
   const auto b = run_once();
@@ -172,4 +180,4 @@ TEST_F(ScenarioTest, DeterministicUnderSameSeed) {
 }
 
 }  // namespace
-}  // namespace grid3::apps
+}  // namespace grid3::workload

@@ -7,7 +7,8 @@
 #include <sstream>
 #include <string>
 
-#include "apps/scenario.h"
+#include "core/grid3.h"
+#include "core/roster.h"
 #include "util/calendar.h"
 #include "workload/campaign.h"
 #include "workload/catalog.h"
@@ -153,27 +154,26 @@ TEST(OpsCalendar, WanWeatherTraceIsSeedDeterministic) {
   EXPECT_EQ(a.size(), 10u);
 }
 
-/// A bare fabric (no demonstrator apps, no campaigns) for injector
-/// tests.
-apps::ScenarioOptions bare_fabric(std::uint64_t seed) {
-  apps::ScenarioOptions opts;
-  opts.months = 1;
-  opts.seed = seed;
-  opts.standard_apps = false;
-  return opts;
-}
+/// A bare fabric (sites, VOs, users, failure injection; no workload)
+/// for injector tests.
+struct BareFabric {
+  explicit BareFabric(std::uint64_t seed) : grid{sim, seed} {
+    core::assemble_grid3(grid);
+  }
+  sim::Simulation sim;
+  core::Grid3 grid;
+};
 
 TEST(OpsCalendar, CompiledWindowsFireAsScheduledDowntime) {
-  sim::Simulation sim;
-  apps::Scenario scenario{sim, bare_fabric(11)};
+  BareFabric fabric{11};
   OpsCalendar cal;
   cal.add({CalendarEvent::Kind::kSiteMaintenance, "BNL_ATLAS",
            Time::days(2), Time::hours(4)});
   cal.add({CalendarEvent::Kind::kWanWeather, "FNAL_CMS", Time::days(3),
            Time::hours(6)});
-  cal.compile(scenario.grid());
-  scenario.run_until(Time::days(5));
-  const auto& failures = scenario.grid().failures();
+  cal.compile(fabric.grid);
+  fabric.sim.run_until(Time::days(5));
+  const auto& failures = fabric.grid.failures();
   EXPECT_EQ(failures.incidents(core::Incident::kScheduledDowntime), 1u);
   EXPECT_EQ(failures.incidents(core::Incident::kWanWeather), 1u);
 }
@@ -189,21 +189,19 @@ TEST(OpsCalendar, CompilationConsumesNoRandomness) {
            f.incidents(core::Incident::kNetworkCut) +
            f.incidents(core::Incident::kServiceCrash);
   };
-  sim::Simulation sim_a;
-  apps::Scenario plain{sim_a, bare_fabric(17)};
-  plain.run_until(Time::days(20));
+  BareFabric plain{17};
+  plain.sim.run_until(Time::days(20));
 
-  sim::Simulation sim_b;
-  apps::Scenario calendared{sim_b, bare_fabric(17)};
+  BareFabric calendared{17};
   OpsCalendar cal;
   cal.add_site_rotation({"UC_ATLAS", "UFL_PG", "JHU_SDSS"}, Time::days(2),
                         Time::days(3), Time::hours(8), 5);
-  cal.compile(calendared.grid());
-  calendared.run_until(Time::days(20));
+  cal.compile(calendared.grid);
+  calendared.sim.run_until(Time::days(20));
 
-  EXPECT_EQ(count_random(plain.grid().failures()),
-            count_random(calendared.grid().failures()));
-  EXPECT_EQ(calendared.grid().failures().incidents(
+  EXPECT_EQ(count_random(plain.grid.failures()),
+            count_random(calendared.grid.failures()));
+  EXPECT_EQ(calendared.grid.failures().incidents(
                 core::Incident::kScheduledDowntime),
             5u);
 }
@@ -233,8 +231,8 @@ TEST(ScenarioCatalog, SpecsAreSeedDeterministic) {
 
 TEST(ScenarioCatalog, QuickOptionsShrinkTheRun) {
   const ScenarioSpec spec = ScenarioCatalog::get("cms-dc04", 1);
-  const apps::ScenarioOptions full = spec.options(false);
-  const apps::ScenarioOptions quick = spec.options(true);
+  const ScenarioOptions full = spec.options(false);
+  const ScenarioOptions quick = spec.options(true);
   EXPECT_LE(quick.months, full.months);
   EXPECT_LE(quick.job_scale, full.job_scale);
 }
@@ -249,6 +247,51 @@ TEST(CatalogRun, CampaignScenarioLaunchesAndDigestsDeterministically) {
   EXPECT_EQ(a.digest, b.digest);
   EXPECT_EQ(a.match_log, b.match_log);
   EXPECT_EQ(a.jobs, b.jobs);
+}
+
+TEST(StackConfig, LegacyStackAttachesNoBrokerAndNoHealth) {
+  CatalogRun run{ScenarioCatalog::get("calib-month", 3), /*quick=*/true,
+                 legacy_stack()};
+  core::Grid3& grid = run.scenario().grid();
+  for (const std::string& vo : core::canonical_vos()) {
+    EXPECT_EQ(grid.broker(vo), nullptr) << vo;
+  }
+  EXPECT_EQ(grid.health(), nullptr);
+}
+
+TEST(StackConfig, ModernStackAttachesBrokerPerVoAndHealth) {
+  CatalogRun run{ScenarioCatalog::get("calib-month", 3), /*quick=*/true,
+                 modern_stack()};
+  core::Grid3& grid = run.scenario().grid();
+  for (const std::string& vo : core::canonical_vos()) {
+    EXPECT_NE(grid.broker(vo), nullptr) << vo;
+  }
+  EXPECT_NE(grid.health(), nullptr);
+}
+
+TEST(CatalogRun, OnlySpecsWithoutCampaignsBuildTheDemonstrators) {
+  const ScenarioSpec campaign = ScenarioCatalog::get("calib-month", 3);
+  ASSERT_FALSE(campaign.campaigns.empty());
+  CatalogRun with_campaigns{campaign, /*quick=*/true, legacy_stack()};
+  EXPECT_FALSE(with_campaigns.scenario().demonstrators());
+
+  const ScenarioSpec historical = ScenarioCatalog::get("table1-7month", 3);
+  ASSERT_TRUE(historical.campaigns.empty());
+  CatalogRun without{historical, /*quick=*/true, legacy_stack()};
+  EXPECT_TRUE(without.scenario().demonstrators());
+}
+
+TEST(CatalogRun, LegacyKernelReproducesTheFastKernelDigest) {
+  // The heap queue + full-graph fair-share re-solve is the reference
+  // the calendar queue + partial re-solve must match byte for byte.
+  const ScenarioSpec spec = ScenarioCatalog::get("calib-month", 3);
+  StackConfig legacy_kernel = modern_stack();
+  legacy_kernel.legacy_kernel = true;
+  const RunResult fast = run_scenario(spec, /*quick=*/true, modern_stack());
+  const RunResult slow = run_scenario(spec, /*quick=*/true, legacy_kernel);
+  EXPECT_EQ(fast.digest, slow.digest);
+  EXPECT_EQ(fast.match_log, slow.match_log);
+  EXPECT_EQ(fast.events, slow.events);
 }
 
 }  // namespace
