@@ -207,24 +207,33 @@ void BM_FlowChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_FlowChurn)->Arg(0)->Arg(1);
 
+/// Args: subscriber count, then 1 to publish by name (the string
+/// wrapper, which resolves the key on every call) instead of through a
+/// handle resolved once.
 void BM_MetricBusFanout(benchmark::State& state) {
   const auto subs = static_cast<int>(state.range(0));
+  const bool by_name = state.range(1) != 0;
   monitoring::MetricBus bus;
   std::size_t hits = 0;
   for (int i = 0; i < subs; ++i) {
     bus.subscribe("*", "monalisa.*",
-                  [&hits](const monitoring::MetricKey&, Time, double) {
-                    ++hits;
-                  });
+                  [&hits](monitoring::MetricHandle,
+                          const monitoring::MetricKey&, Time,
+                          double) { ++hits; });
   }
+  const monitoring::MetricHandle h = bus.handle("site", "monalisa.load");
   std::int64_t t = 0;
   for (auto _ : state) {
-    bus.publish("site", "monalisa.load", Time::micros(++t), 1.0);
+    if (by_name) {
+      bus.publish("site", "monalisa.load", Time::micros(++t), 1.0);
+    } else {
+      bus.publish(h, Time::micros(++t), 1.0);
+    }
   }
   benchmark::DoNotOptimize(hits);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_MetricBusFanout)->Arg(1)->Arg(32);
+BENCHMARK(BM_MetricBusFanout)->Args({1, 0})->Args({32, 0})->Args({1, 1});
 
 // --- snapshot mode ----------------------------------------------------
 

@@ -114,8 +114,13 @@ class BatchScheduler {
   [[nodiscard]] int busy_slots() const { return static_cast<int>(running_.size()); }
   [[nodiscard]] int free_slots() const { return cfg_.slots - busy_slots(); }
   [[nodiscard]] std::size_t queued_count() const { return queue_.size(); }
+  /// Per-VO occupancy; O(1), kept in step with every queue change.
   [[nodiscard]] int running_for_vo(const std::string& vo) const;
   [[nodiscard]] std::size_t queued_for_vo(const std::string& vo) const;
+  /// Visit every live job: queued ones in queue order, then running ones
+  /// in no particular order.
+  void for_each_job(
+      const std::function<void(const JobRequest&, JobState)>& fn) const;
   [[nodiscard]] const SchedulerConfig& config() const { return cfg_; }
   [[nodiscard]] Time max_walltime() const { return cfg_.max_walltime; }
   void set_max_walltime(Time t) { cfg_.max_walltime = t; }
@@ -161,6 +166,12 @@ class BatchScheduler {
     CompletionFn done;
   };
 
+  /// Per-VO occupancy, kept in step with queue_ and running_.
+  struct VoCount {
+    int running = 0;
+    std::size_t queued = 0;
+  };
+
   void dispatch();
   void finish(LocalJobId id, JobState state);
   void notify_observer();
@@ -175,6 +186,7 @@ class BatchScheduler {
   std::unordered_map<LocalJobId, RunningJob> running_;
   std::unordered_map<LocalJobId, CompletionFn> queued_callbacks_;
   std::unordered_map<std::string, Time> usage_;
+  std::unordered_map<std::string, VoCount> vo_counts_;
   std::function<void(int, int)> observer_;
 };
 

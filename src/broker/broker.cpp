@@ -582,10 +582,10 @@ void ResourceBroker::submit_gang(GangSpec gang,
   const Time now = sim_.now();
   const GangPlacement placement = match_gang(gang, now);
   ++gang_matches_;
-  publish_counter(metric::kGangMatches, gang_matches_);
+  publish_counter(Counter::kGangMatches, gang_matches_);
   if (placement.split) {
     ++gang_splits_;
-    publish_counter(metric::kGangSplits, gang_splits_);
+    publish_counter(Counter::kGangSplits, gang_splits_);
   }
   if (accounting_ != nullptr && !gang.members.empty()) {
     accounting_->insert_gang({gang_matches_, now, gang.members.front().vo,
@@ -764,10 +764,10 @@ void ResourceBroker::record_match(const Pending& p, const SiteView& site,
   d.rebind = p.rebinds;
   d.score = score;
   log_.push_back(d);
-  publish_counter(metric::kMatches, log_.size());
+  publish_counter(Counter::kMatches, log_.size());
   if (view_stale_) {
     ++stale_matches_;
-    publish_counter(metric::kStaleMatches, stale_matches_);
+    publish_counter(Counter::kStaleMatches, stale_matches_);
   }
   if (accounting_ != nullptr) {
     accounting_->insert_match({d.seq, d.at, d.vo, d.app, d.policy, d.site,
@@ -955,7 +955,7 @@ void ResourceBroker::on_result(const std::shared_ptr<Pending>& p,
   }
   if (!free_rebind) ++p->rebinds;
   ++rebinds_;
-  publish_counter(metric::kRebinds, rebinds_);
+  publish_counter(Counter::kRebinds, rebinds_);
   const double backoff = cfg_.rebind.delay_seconds(p->rebinds);
   auto self = p;
   sim::Simulation::ScopedTag tag{sim_, "rb",
@@ -1014,7 +1014,7 @@ void ResourceBroker::report_health(const Pending& p,
 void ResourceBroker::hold(const std::shared_ptr<Pending>& p) {
   ++p->holds;
   ++holds_;
-  publish_counter(metric::kHolds, holds_);
+  publish_counter(Counter::kHolds, holds_);
   waiting_.push_back(p);
   // Per-job retry with deterministic jitter: a saturated grid holds many
   // jobs in the same tick, and a shared timer would re-release them as
@@ -1191,9 +1191,18 @@ void ResourceBroker::drop_lease(Pending& p, bool consumed) {
   p.job.stage_out_reservation = 0;
 }
 
-void ResourceBroker::publish_counter(const char* name, std::uint64_t value) {
+void ResourceBroker::publish_counter(Counter c, std::uint64_t value) {
   if (bus_ == nullptr) return;
-  bus_->publish(bus_label_, name, sim_.now(), static_cast<double>(value));
+  // Bus names in Counter order.
+  static constexpr std::array<const char*, 6> kNames = {
+      metric::kMatches,     metric::kRebinds,    metric::kHolds,
+      metric::kGangMatches, metric::kGangSplits, metric::kStaleMatches};
+  static_assert(kNames.size() ==
+                std::tuple_size_v<decltype(counter_handles_)>);
+  const auto i = static_cast<std::size_t>(c);
+  monitoring::MetricHandle& h = counter_handles_[i];
+  if (!h.valid()) h = bus_->handle(bus_label_, kNames[i]);
+  bus_->publish(h, sim_.now(), static_cast<double>(value));
 }
 
 std::string ResourceBroker::serialize_match_log() const {

@@ -30,6 +30,7 @@
 //     scattered.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -316,6 +317,7 @@ class ResourceBroker {
   void set_metric_bus(monitoring::MetricBus* bus, std::string label) {
     bus_ = bus;
     bus_label_ = std::move(label);
+    counter_handles_.fill({});
   }
 
   // --- introspection / accounting ---
@@ -506,7 +508,16 @@ class ResourceBroker {
   void drop_lease(Pending& p, bool consumed);
   /// Member resolved: the last one out releases the gang lease.
   void leave_gang(Pending& p);
-  void publish_counter(const char* name, std::uint64_t value);
+  /// The counters published on the bus (index into counter_handles_).
+  enum class Counter {
+    kMatches,
+    kRebinds,
+    kHolds,
+    kGangMatches,
+    kGangSplits,
+    kStaleMatches,
+  };
+  void publish_counter(Counter c, std::uint64_t value);
   [[nodiscard]] double predicted_load(const SiteView& site) const;
   [[nodiscard]] bool meets_requirements(const JobSpec& spec,
                                         const SiteView& site) const;
@@ -541,6 +552,8 @@ class ResourceBroker {
   placement::PlacementLedger* ledger_ = nullptr;
   monitoring::MetricBus* bus_ = nullptr;
   std::string bus_label_;
+  /// One per Counter, resolved at the counter's first publish.
+  std::array<monitoring::MetricHandle, 6> counter_handles_{};
   util::Rng rng_;
 
   /// Site interner (shared with core::Grid3 when attached there).

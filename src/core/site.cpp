@@ -118,6 +118,21 @@ bool Site::install_application(const pacman::PackageCache& cache,
 void Site::support_vo(const std::string& vo_name) {
   // Group-account naming convention (section 5.3): e.g. "usatlas1".
   gridmap_.support_vo(vo_name, {vo_name + "1", vo_name});
+  // A VO added after start_services (Grid3 adds ivdgl late) reports
+  // from the next monitor tick on.
+  auto it = std::lower_bound(
+      vo_activity_.begin(), vo_activity_.end(), vo_name,
+      [](const VoActivity& a, const std::string& vo) { return a.vo < vo; });
+  if (it == vo_activity_.end() || it->vo != vo_name) {
+    vo_activity_.insert(
+        it, {vo_name,
+             {monitoring::vo_metric(monitoring::mlmetric::kVoJobsRunning,
+                                    vo_name),
+              {}},
+             {monitoring::vo_metric(monitoring::mlmetric::kVoJobsQueued,
+                                    vo_name),
+              {}}});
+  }
 }
 
 void Site::refresh_gridmap(
@@ -177,27 +192,24 @@ void Site::start_services(Time monitor_period) {
   if (monitor_loop_) return;
   monitor_loop_ = std::make_unique<sim::PeriodicProcess>(
       sim_, monitor_period, [this] {
-        gmond_.sample(sim_.now());
+        const Time now = sim_.now();
+        gmond_.sample(now);
         publish_dynamic();
         // MonALISA VO-activity agents (section 5.2: "custom agents ...
         // collect VO-specific activity at sites such as jobs run, compute
         // element usage, and I/O").
-        for (const std::string& vo_name : gridmap_.supported_vos()) {
+        for (VoActivity& a : vo_activity_) {
           ml_agent_.report(
-              monitoring::vo_metric(monitoring::mlmetric::kVoJobsRunning,
-                                    vo_name),
-              sim_.now(),
-              static_cast<double>(scheduler_->running_for_vo(vo_name)));
+              a.running, now,
+              static_cast<double>(scheduler_->running_for_vo(a.vo)));
           ml_agent_.report(
-              monitoring::vo_metric(monitoring::mlmetric::kVoJobsQueued,
-                                    vo_name),
-              sim_.now(),
-              static_cast<double>(scheduler_->queued_for_vo(vo_name)));
+              a.queued, now,
+              static_cast<double>(scheduler_->queued_for_vo(a.vo)));
         }
-        ml_agent_.report(monitoring::mlmetric::kGatekeeperLoad, sim_.now(),
+        ml_agent_.report(gatekeeper_load_, now,
                          gatekeeper_->one_minute_load());
         ml_agent_.report(
-            monitoring::mlmetric::kIoMbps, sim_.now(),
+            io_mbps_, now,
             net_.rate_in(node_).to_mbps() + net_.rate_out(node_).to_mbps());
         return true;
       });

@@ -137,6 +137,17 @@ class Site {
   mds::Gris gris_;
   monitoring::GangliaGmond gmond_;
   monitoring::MonalisaAgent ml_agent_;
+  /// MonALISA VO-activity keys in supported-VO (name) order; support_vo
+  /// adds a VO's pair, the agent resolves each at its first report.
+  struct VoActivity {
+    std::string vo;
+    monitoring::AgentMetric running;
+    monitoring::AgentMetric queued;
+  };
+  std::vector<VoActivity> vo_activity_;
+  monitoring::AgentMetric gatekeeper_load_{
+      monitoring::mlmetric::kGatekeeperLoad, {}};
+  monitoring::AgentMetric io_mbps_{monitoring::mlmetric::kIoMbps, {}};
   std::unique_ptr<srm::StorageResourceManager> srm_;
   std::unique_ptr<sim::PeriodicProcess> monitor_loop_;
   std::unique_ptr<sim::PeriodicProcess> local_load_loop_;

@@ -1,6 +1,7 @@
 #include "monitoring/bus.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace grid3::monitoring {
 namespace {
@@ -19,49 +20,51 @@ std::uint64_t composite(core::SiteId site, core::ServiceId name) {
 
 }  // namespace
 
-MetricBus::Entry& MetricBus::entry_for(const std::string& site,
-                                       const std::string& name) {
+MetricHandle MetricBus::handle(const std::string& site,
+                               const std::string& name) {
   const auto key =
       composite(site_ids_.intern(site), name_ids_.intern(name));
-  if (auto it = index_.find(key); it != index_.end()) {
-    return entries_[it->second];
-  }
-  index_.emplace(key, static_cast<std::uint32_t>(entries_.size()));
-  Entry& e = entries_.emplace_back();
-  e.site = site;
-  e.name = name;
-  return e;
+  const MetricHandle next{static_cast<std::uint32_t>(entries_.size())};
+  const auto [it, inserted] = index_.try_emplace(key, next);
+  if (inserted) entries_.emplace_back().key = {site, name};
+  return it->second;
+}
+
+MetricHandle MetricBus::find(const std::string& site,
+                             const std::string& name) const {
+  const core::SiteId s = site_ids_.find(site);
+  const core::ServiceId n = name_ids_.find(name);
+  if (!s.valid() || !n.valid()) return MetricHandle::invalid();
+  auto it = index_.find(composite(s, n));
+  return it == index_.end() ? MetricHandle::invalid() : it->second;
 }
 
 const MetricBus::Entry* MetricBus::find_entry(const std::string& site,
                                               const std::string& name) const {
-  const core::SiteId s = site_ids_.find(site);
-  const core::ServiceId n = name_ids_.find(name);
-  if (!s.valid() || !n.valid()) return nullptr;
-  auto it = index_.find(composite(s, n));
-  return it == index_.end() ? nullptr : &entries_[it->second];
+  const MetricHandle h = find(site, name);
+  return h.valid() ? &entries_[h.value()] : nullptr;
 }
 
 void MetricBus::rebuild_fanout(Entry& e) const {
   e.fanout.clear();
   for (const Subscriber& s : subscribers_) {
-    if (s.cb && name_matches(s.name, e.name) &&
-        (s.site == "*" || s.site == e.site)) {
+    if (s.cb && name_matches(s.name, e.key.name) &&
+        (s.site == "*" || s.site == e.key.site)) {
       e.fanout.push_back(&s);
     }
   }
   e.sub_epoch = sub_epoch_;
 }
 
-void MetricBus::publish(const std::string& site, const std::string& name,
-                        Time t, double value) {
+void MetricBus::publish(MetricHandle h, Time t, double value) {
+  assert(h.valid() && h.value() < entries_.size());
   ++published_;
-  Entry& e = entry_for(site, name);
+  Entry& e = entries_[h.value()];
   e.series.append(t, value);
   if (e.sub_epoch != sub_epoch_) rebuild_fanout(e);
   for (const Subscriber* s : e.fanout) {
     // A tombstoned subscriber may linger until the next rebuild.
-    if (s->cb) s->cb({site, name}, t, value);
+    if (s->cb) s->cb(h, e.key, t, value);
   }
 }
 
@@ -98,8 +101,8 @@ std::vector<MetricKey> MetricBus::keys_with_prefix(
     const std::string& prefix) const {
   std::vector<MetricKey> out;
   for (const Entry& e : entries_) {
-    if (e.name.compare(0, prefix.size(), prefix) == 0) {
-      out.push_back({e.site, e.name});
+    if (e.key.name.compare(0, prefix.size(), prefix) == 0) {
+      out.push_back(e.key);
     }
   }
   std::sort(out.begin(), out.end());
@@ -109,7 +112,7 @@ std::vector<MetricKey> MetricBus::keys_with_prefix(
 std::vector<std::string> MetricBus::sites_for(const std::string& name) const {
   std::vector<std::string> out;
   for (const Entry& e : entries_) {
-    if (e.name == name) out.push_back(e.site);
+    if (e.key.name == name) out.push_back(e.key.site);
   }
   std::sort(out.begin(), out.end());
   return out;

@@ -28,15 +28,39 @@ struct MetricKey {
   auto operator<=>(const MetricKey&) const = default;
 };
 
+struct MetricTag {};
+/// Dense id of one (site, name) key on its bus, in first-resolve order.
+/// Valid for the bus's lifetime.
+using MetricHandle = core::InternedId<MetricTag>;
+
+/// Fan-out callback: the sample's handle and key (the key reference is
+/// bus-owned and lives as long as the bus), then the sample itself.
 using MetricCallback =
-    std::function<void(const MetricKey&, Time, double)>;
+    std::function<void(MetricHandle, const MetricKey&, Time, double)>;
 using SubscriptionId = std::uint64_t;
 
 class MetricBus {
  public:
+  /// Handle of (site, name), registering the key if unseen.  A
+  /// registered key is visible to sites_for/keys_with_prefix/key_count,
+  /// so a periodic producer resolves at its first publish and reuses
+  /// the handle for every later sample.
+  MetricHandle handle(const std::string& site, const std::string& name);
+  /// Handle of an already registered key; invalid otherwise.
+  [[nodiscard]] MetricHandle find(const std::string& site,
+                                  const std::string& name) const;
+  /// The key `h` was resolved from; the reference lives as long as the bus.
+  [[nodiscard]] const MetricKey& key(MetricHandle h) const {
+    return entries_[h.value()].key;
+  }
+
   /// Publish a sample.  Fans out to matching subscribers synchronously.
+  void publish(MetricHandle h, Time t, double value);
+  /// Publish by name: resolves the key on every call (one-off callers).
   void publish(const std::string& site, const std::string& name, Time t,
-               double value);
+               double value) {
+    publish(handle(site, name), t, value);
+  }
 
   /// Subscribe to a metric name; `site` may be "*" for all sites, and a
   /// `name` ending in '*' matches by prefix (e.g. "monalisa.*").
@@ -78,14 +102,12 @@ class MetricBus {
   /// so steady-state publishes skip the per-publish pattern scan the
   /// old bus paid for every sample.
   struct Entry {
-    std::string site;
-    std::string name;
+    MetricKey key;
     util::TimeSeries series;
     std::uint64_t sub_epoch = 0;  ///< 0 = fan-out never built
     std::vector<const Subscriber*> fanout;
   };
 
-  Entry& entry_for(const std::string& site, const std::string& name);
   [[nodiscard]] const Entry* find_entry(const std::string& site,
                                         const std::string& name) const;
   void rebuild_fanout(Entry& e) const;
@@ -94,10 +116,10 @@ class MetricBus {
   /// labels like VO names, so the bus does not share the grid registry).
   core::Interner<core::SiteId> site_ids_;
   core::Interner<core::ServiceId> name_ids_;
-  /// (site id << 32 | name id) -> index into entries_.
-  std::unordered_map<std::uint64_t, std::uint32_t> index_;
-  /// Entries in first-publish order; a deque so growth never
-  /// invalidates references held across an append.
+  /// (site id << 32 | name id) -> handle.
+  std::unordered_map<std::uint64_t, MetricHandle> index_;
+  /// Entries indexed by handle; a deque so growth never invalidates
+  /// the entry and key references held across a fan-out.
   std::deque<Entry> entries_;
   std::deque<Subscriber> subscribers_;  ///< stable; tombstoned, not erased
   SubscriptionId next_sub_ = 1;

@@ -1,20 +1,33 @@
 #include "monitoring/ganglia.h"
 
 namespace grid3::monitoring {
+namespace {
+
+/// Publish order of one sampling round (and the index into handles_).
+constexpr std::array<const char*, 7> kRound = {
+    gmetric::kCpuLoad,    gmetric::kCpusTotal,  gmetric::kCpusBusy,
+    gmetric::kDiskFreeGb, gmetric::kNetInMbps,  gmetric::kNetOutMbps,
+    gmetric::kHeartbeat};
+
+}  // namespace
 
 void GangliaGmond::sample(Time now) {
   if (!up_) return;
   ++samples_;
   const HostMetrics m = source_();
-  bus_.publish(site_, gmetric::kCpuLoad, now, m.load_one);
-  bus_.publish(site_, gmetric::kCpusTotal, now,
-               static_cast<double>(m.cpus_total));
-  bus_.publish(site_, gmetric::kCpusBusy, now,
-               static_cast<double>(m.cpus_busy));
-  bus_.publish(site_, gmetric::kDiskFreeGb, now, m.disk_free_gb);
-  bus_.publish(site_, gmetric::kNetInMbps, now, m.net_in_mbps);
-  bus_.publish(site_, gmetric::kNetOutMbps, now, m.net_out_mbps);
-  bus_.publish(site_, gmetric::kHeartbeat, now, 1.0);
+  const std::array<double, kRound.size()> values = {
+      m.load_one,
+      static_cast<double>(m.cpus_total),
+      static_cast<double>(m.cpus_busy),
+      m.disk_free_gb,
+      m.net_in_mbps,
+      m.net_out_mbps,
+      1.0};
+  static_assert(kRound.size() == std::tuple_size_v<decltype(handles_)>);
+  for (std::size_t i = 0; i < kRound.size(); ++i) {
+    if (!handles_[i].valid()) handles_[i] = bus_.handle(site_, kRound[i]);
+    bus_.publish(handles_[i], now, values[i]);
+  }
 }
 
 GangliaGmetad::GridSummary GangliaGmetad::summarize(Time now) const {

@@ -4,6 +4,7 @@
 // hierarchical grid views.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <map>
 #include <string>
@@ -58,6 +59,8 @@ class GangliaGmond {
   std::string site_;
   MetricBus& bus_;
   MetricsSource source_;
+  /// One per published metric, resolved at its first publish.
+  std::array<MetricHandle, 7> handles_{};
   bool up_ = true;
   std::uint64_t samples_ = 0;
 };

@@ -6,11 +6,11 @@ std::string vo_metric(const char* base, const std::string& vo) {
   return std::string{base} + "." + vo;
 }
 
-void MonalisaAgent::report(const std::string& metric, Time now,
-                           double value) {
+void MonalisaAgent::report(AgentMetric& metric, Time now, double value) {
   if (!up_) return;
   ++reports_;
-  bus_.publish(site_, metric, now, value);
+  if (!metric.handle.valid()) metric.handle = bus_.handle(site_, metric.name);
+  bus_.publish(metric.handle, now, value);
 }
 
 util::RoundRobinArchive MonalisaRepository::make_archive() {
@@ -25,8 +25,9 @@ MonalisaRepository::MonalisaRepository(MetricBus& bus) : bus_{bus} {
   // One prefix subscription covers the fixed names and every per-VO key
   // agents mint later.
   subs_.push_back(bus_.subscribe(
-      "*", "monalisa.*", [this](const MetricKey& key, Time t, double value) {
-        ingest(key, t, value);
+      "*", "monalisa.*",
+      [this](MetricHandle h, const MetricKey&, Time t, double value) {
+        ingest(h, t, value);
       }));
 }
 
@@ -34,35 +35,46 @@ MonalisaRepository::~MonalisaRepository() {
   for (SubscriptionId id : subs_) bus_.unsubscribe(id);
 }
 
-void MonalisaRepository::ingest(const MetricKey& key, Time t, double value) {
+void MonalisaRepository::ingest(MetricHandle h, Time t, double value) {
   if (!up_) {
     ++dropped_;
     return;
   }
-  auto it = archives_.find(key);
-  if (it == archives_.end()) {
-    it = archives_.emplace(key, make_archive()).first;
+  if (h.value() >= by_handle_.size()) by_handle_.resize(h.value() + 1);
+  auto& slot = by_handle_[h.value()];
+  if (!slot) {
+    slot = std::make_unique<util::RoundRobinArchive>(make_archive());
+    ++archived_;
   }
-  it->second.update(t, value);
+  slot->update(t, value);
   ++updates_;
+}
+
+const util::RoundRobinArchive* MonalisaRepository::archive(
+    MetricHandle h) const {
+  return h.valid() && h.value() < by_handle_.size()
+             ? by_handle_[h.value()].get()
+             : nullptr;
 }
 
 std::optional<double> MonalisaRepository::read(const std::string& site,
                                                const std::string& metric,
                                                Time t) const {
   if (!up_) return std::nullopt;
-  auto it = archives_.find({site, metric});
-  if (it == archives_.end()) return std::nullopt;
-  return it->second.read(t);
+  const util::RoundRobinArchive* a = archive(bus_.find(site, metric));
+  if (a == nullptr) return std::nullopt;
+  return a->read(t);
 }
 
 double MonalisaRepository::grid_total(const std::string& metric,
                                       Time t) const {
   if (!up_) return 0.0;
+  // Sum in site-name order: the floating-point total must not depend on
+  // the order in which keys were first published.
   double total = 0.0;
-  for (const auto& [key, archive] : archives_) {
-    if (key.name == metric) {
-      if (auto v = archive.read(t)) total += *v;
+  for (const std::string& site : bus_.sites_for(metric)) {
+    if (const util::RoundRobinArchive* a = archive(bus_.find(site, metric))) {
+      if (auto v = a->read(t)) total += *v;
     }
   }
   return total;

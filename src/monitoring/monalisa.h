@@ -7,7 +7,7 @@
 // Ganglia/ACDC paths -- "permitting crosschecks on the data collected".
 #pragma once
 
-#include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -29,6 +29,14 @@ inline constexpr const char* kIoMbps = "monalisa.io_mbps";
 /// Compose a per-VO metric key name, e.g. "monalisa.vo_jobs_running.usatlas".
 [[nodiscard]] std::string vo_metric(const char* base, const std::string& vo);
 
+/// A metric an agent reports every round: its name plus the bus handle,
+/// resolved at the first report made while the agent is up (so a key
+/// never appears on the bus without a sample).
+struct AgentMetric {
+  std::string name;
+  MetricHandle handle;
+};
+
 /// Site-resident agent: re-publishes selected local metrics onto the bus
 /// under MonALISA names and forwards them to the central repository.
 class MonalisaAgent {
@@ -39,7 +47,12 @@ class MonalisaAgent {
   [[nodiscard]] const std::string& site() const { return site_; }
 
   /// Report one observation (called by the site model's sampling loop).
-  void report(const std::string& metric, Time now, double value);
+  void report(AgentMetric& metric, Time now, double value);
+  /// One-off report by name.
+  void report(const std::string& metric, Time now, double value) {
+    AgentMetric m{metric, {}};
+    report(m, now, value);
+  }
 
   void set_available(bool up) { up_ = up; }
   [[nodiscard]] bool available() const { return up_; }
@@ -69,7 +82,7 @@ class MonalisaRepository {
   /// Sum across sites of the consolidated values covering time t.
   [[nodiscard]] double grid_total(const std::string& metric, Time t) const;
 
-  [[nodiscard]] std::size_t archived_keys() const { return archives_.size(); }
+  [[nodiscard]] std::size_t archived_keys() const { return archived_; }
   [[nodiscard]] std::uint64_t updates() const { return updates_; }
 
   /// Collector outage: a down repository answers no reads and drops
@@ -84,13 +97,16 @@ class MonalisaRepository {
   [[nodiscard]] std::uint64_t dropped_updates() const { return dropped_; }
 
  private:
-  void ingest(const MetricKey& key, Time t, double value);
+  void ingest(MetricHandle h, Time t, double value);
+  [[nodiscard]] const util::RoundRobinArchive* archive(MetricHandle h) const;
   [[nodiscard]] static util::RoundRobinArchive make_archive();
 
   MetricBus& bus_;
   bool up_ = true;
   std::vector<SubscriptionId> subs_;
-  std::map<MetricKey, util::RoundRobinArchive> archives_;
+  /// Indexed by bus handle; null = no sample ingested for that key.
+  std::vector<std::unique_ptr<util::RoundRobinArchive>> by_handle_;
+  std::size_t archived_ = 0;
   std::uint64_t updates_ = 0;
   std::uint64_t dropped_ = 0;
 };

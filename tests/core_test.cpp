@@ -141,6 +141,35 @@ TEST_F(FabricTest, SitePublishesDynamicStateOnMonitorLoop) {
   (void)site;
 }
 
+TEST_F(FabricTest, VoAddedAfterStartServicesReportsActivity) {
+  grid.add_vo("usatlas");
+  SiteConfig cfg;
+  cfg.name = "S";
+  cfg.owner_vo = "usatlas";
+  cfg.cpus = 4;
+  cfg.policy.dedicated = true;
+  Site& site = grid.add_site(cfg, 1000.0);
+  sim.run_until(Time::minutes(12));
+  const monitoring::MetricBus& bus = grid.igoc().bus();
+  const std::string running =
+      monitoring::vo_metric(monitoring::mlmetric::kVoJobsRunning, "late");
+  const std::string queued =
+      monitoring::vo_metric(monitoring::mlmetric::kVoJobsQueued, "late");
+  EXPECT_FALSE(bus.find("S", running).valid());
+  site.support_vo("late");
+  sim.run_until(Time::minutes(24));
+  EXPECT_TRUE(bus.latest("S", running).has_value());
+  EXPECT_TRUE(bus.latest("S", queued).has_value());
+  EXPECT_TRUE(
+      grid.igoc().ml_repository().read("S", running, sim.now()).has_value());
+  // The earlier VOs keep reporting on the same keys.
+  EXPECT_EQ(bus.series("S", monitoring::vo_metric(
+                                monitoring::mlmetric::kVoJobsRunning,
+                                "usatlas"))
+                .size(),
+            bus.series("S", monitoring::gmetric::kHeartbeat).size());
+}
+
 TEST_F(FabricTest, SharedSiteCarriesLocalLoad) {
   grid.add_vo("ivdgl");
   SiteConfig cfg;

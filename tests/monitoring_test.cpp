@@ -29,11 +29,11 @@ TEST(MetricBus, SubscriptionExactAndWildcards) {
   MetricBus bus;
   int exact = 0, any_site = 0, prefix = 0;
   bus.subscribe("BNL", "m.x",
-                [&](const MetricKey&, Time, double) { ++exact; });
+                [&](MetricHandle, const MetricKey&, Time, double) { ++exact; });
   bus.subscribe("*", "m.x",
-                [&](const MetricKey&, Time, double) { ++any_site; });
+                [&](MetricHandle, const MetricKey&, Time, double) { ++any_site; });
   bus.subscribe("*", "m.*",
-                [&](const MetricKey&, Time, double) { ++prefix; });
+                [&](MetricHandle, const MetricKey&, Time, double) { ++prefix; });
   bus.publish("BNL", "m.x", Time::zero(), 1.0);
   bus.publish("FNAL", "m.x", Time::zero(), 1.0);
   bus.publish("BNL", "m.y", Time::zero(), 1.0);
@@ -46,11 +46,90 @@ TEST(MetricBus, UnsubscribeStopsDelivery) {
   MetricBus bus;
   int calls = 0;
   const auto id =
-      bus.subscribe("*", "m", [&](const MetricKey&, Time, double) { ++calls; });
+      bus.subscribe("*", "m", [&](MetricHandle, const MetricKey&, Time, double) { ++calls; });
   bus.publish("a", "m", Time::zero(), 1.0);
   bus.unsubscribe(id);
   bus.publish("a", "m", Time::zero(), 1.0);
   EXPECT_EQ(calls, 1);
+}
+
+TEST(MetricBus, PublishByNameAndByHandleShareSeriesAndFanOut) {
+  MetricBus bus;
+  std::vector<std::pair<MetricHandle, MetricKey>> seen;
+  bus.subscribe("*", "m.*",
+                [&](MetricHandle h, const MetricKey& key, Time, double) {
+                  seen.emplace_back(h, key);
+                });
+  bus.publish("BNL", "m.x", Time::seconds(1), 1.0);
+  const MetricHandle h = bus.handle("BNL", "m.x");
+  bus.publish(h, Time::seconds(2), 2.0);
+  EXPECT_EQ(bus.series("BNL", "m.x").size(), 2u);
+  EXPECT_DOUBLE_EQ(bus.latest("BNL", "m.x")->value, 2.0);
+  EXPECT_EQ(bus.key_count(), 1u);
+  EXPECT_EQ(bus.published(), 2u);
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[0], seen[1]);
+  EXPECT_EQ(seen[0].first, h);
+}
+
+TEST(MetricBus, HandleStaysValidAfterThousandsOfKeys) {
+  MetricBus bus;
+  const MetricHandle h = bus.handle("A", "m");
+  bus.publish(h, Time::seconds(1), 1.0);
+  for (int i = 0; i < 5000; ++i) {
+    bus.publish("S" + std::to_string(i % 50), "k" + std::to_string(i),
+                Time::seconds(1), 0.0);
+  }
+  bus.publish(h, Time::seconds(2), 2.0);
+  EXPECT_EQ(bus.key_count(), 5001u);
+  EXPECT_EQ(bus.find("A", "m"), h);
+  EXPECT_EQ(bus.key(h), (MetricKey{"A", "m"}));
+  EXPECT_EQ(bus.series("A", "m").size(), 2u);
+  EXPECT_FALSE(bus.find("A", "never").valid());
+}
+
+TEST(MetricBus, SubscriberReceivesTheBusOwnedKey) {
+  MetricBus bus;
+  const MetricKey* received = nullptr;
+  bus.subscribe("*", "m",
+                [&](MetricHandle, const MetricKey& key, Time, double) {
+                  received = &key;
+                });
+  const MetricHandle h = bus.handle("A", "m");
+  bus.publish(h, Time::zero(), 1.0);
+  bus.publish("B", "m", Time::zero(), 1.0);  // a later key
+  ASSERT_NE(received, nullptr);
+  EXPECT_EQ(*received, bus.key(bus.find("B", "m")));
+  bus.publish(h, Time::seconds(1), 1.0);
+  EXPECT_EQ(received, &bus.key(h));
+  EXPECT_EQ(*received, (MetricKey{"A", "m"}));
+}
+
+TEST(MetricBus, DownProducersCreateNoKeys) {
+  MetricBus bus;
+  GangliaGmond gmond{"BNL", bus, [] { return HostMetrics{}; }};
+  MonalisaAgent agent{"BNL", bus};
+  AgentMetric load{mlmetric::kGatekeeperLoad, {}};
+  gmond.set_available(false);
+  agent.set_available(false);
+  gmond.sample(Time::minutes(5));
+  agent.report(load, Time::minutes(5), 1.0);
+  EXPECT_EQ(bus.key_count(), 0u);
+  EXPECT_TRUE(bus.sites_for(gmetric::kHeartbeat).empty());
+  EXPECT_TRUE(bus.keys_with_prefix("").empty());
+  EXPECT_FALSE(load.handle.valid());
+  // Once up, each key appears together with its first sample.
+  gmond.set_available(true);
+  agent.set_available(true);
+  gmond.sample(Time::minutes(10));
+  agent.report(load, Time::minutes(10), 1.0);
+  EXPECT_EQ(bus.key_count(), 8u);
+  ASSERT_TRUE(load.handle.valid());
+  EXPECT_EQ(bus.key(load.handle),
+            (MetricKey{"BNL", mlmetric::kGatekeeperLoad}));
+  for (const MetricKey& k : bus.keys_with_prefix("")) {
+    EXPECT_EQ(bus.series(k.site, k.name).size(), 1u) << k.name;
+  }
 }
 
 TEST(Ganglia, GmondPublishesAllMetrics) {

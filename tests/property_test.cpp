@@ -3,8 +3,11 @@
 // configurations).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <numeric>
+#include <optional>
+#include <string>
 
 #include "batch/scheduler.h"
 #include "net/network.h"
@@ -94,6 +97,164 @@ INSTANTIATE_TEST_SUITE_P(
         SchedulerCase{Lrms::kCondor, 1, 30, 7},
         SchedulerCase{Lrms::kPbs, 1, 30, 8},
         SchedulerCase{Lrms::kLsf, 1, 30, 9}));
+
+// ---------------------------------------------------------------------
+// Property: the per-VO running/queued counters equal a brute-force scan
+// of the scheduler's live jobs after every step of a seeded random
+// sequence of submits (some rejected), cancels, kills, resizes, drains
+// and natural completions.
+// ---------------------------------------------------------------------
+struct VoCountCase {
+  Lrms lrms;
+  std::uint64_t seed;
+};
+
+std::string vo_count_case_name(const VoCountCase& c) {
+  static constexpr const char* kLrms[] = {"condor", "pbs", "lsf"};
+  return std::string{kLrms[static_cast<int>(c.lrms)]} + "_seed" +
+         std::to_string(c.seed);
+}
+
+// Keeps ctest names free of gtest's byte dump (which shows padding).
+void PrintTo(const VoCountCase& c, std::ostream* os) {
+  *os << vo_count_case_name(c);
+}
+
+class SchedulerVoCounts : public ::testing::TestWithParam<VoCountCase> {};
+
+TEST_P(SchedulerVoCounts, MatchBruteForceScanAfterEveryStep) {
+  const auto c = GetParam();
+  sim::Simulation sim;
+  batch::SchedulerConfig cfg;
+  cfg.site_name = "P";
+  cfg.slots = 4;
+  cfg.max_walltime = Time::hours(24);
+  // Closed shares: "ivdgl" has none here, so its submits are refused.
+  cfg.vo_shares = {{"usatlas", 2.0}, {"uscms", 1.0}, {"sdss", 0.5},
+                   {"local", 1.0}};
+  cfg.closed_shares = true;
+  std::unique_ptr<batch::BatchScheduler> sched;
+  switch (c.lrms) {
+    case Lrms::kCondor:
+      sched = std::make_unique<batch::CondorScheduler>(sim, cfg);
+      break;
+    case Lrms::kPbs:
+      sched = std::make_unique<batch::PbsScheduler>(sim, cfg);
+      break;
+    case Lrms::kLsf:
+      sched = std::make_unique<batch::LsfScheduler>(sim, cfg);
+      break;
+  }
+  util::Rng rng{c.seed};
+  const std::vector<std::string> vos = {"usatlas", "uscms", "sdss", "local",
+                                        "ivdgl"};
+  // Each job's user DN carries its id, so a scan can find one job.
+  std::vector<batch::LocalJobId> accepted;
+  int rejected_share = 0, rejected_walltime = 0, cancelled_queued = 0,
+      cancelled_running = 0, killed = 0, completed = 0;
+  bool shrunk = false;
+
+  auto state_of = [&](batch::LocalJobId id) {
+    std::optional<batch::JobState> out;
+    const std::string dn = "/CN=" + std::to_string(id);
+    sched->for_each_job([&](const batch::JobRequest& r, batch::JobState s) {
+      if (r.user_dn == dn) out = s;
+    });
+    return out;
+  };
+  auto check = [&](int step) {
+    std::map<std::string, std::pair<int, std::size_t>> scan;
+    sched->for_each_job([&](const batch::JobRequest& r, batch::JobState s) {
+      auto& [running, queued] = scan[r.vo];
+      if (s == batch::JobState::kRunning) {
+        ++running;
+      } else {
+        ++queued;
+      }
+    });
+    for (const std::string& vo : vos) {
+      EXPECT_EQ(sched->running_for_vo(vo), scan[vo].first)
+          << "step " << step << ", vo " << vo;
+      EXPECT_EQ(sched->queued_for_vo(vo), scan[vo].second)
+          << "step " << step << ", vo " << vo;
+    }
+  };
+
+  for (int step = 0; step < 600; ++step) {
+    switch (rng.index(8)) {
+      case 0:
+      case 1:
+      case 2: {  // submit; walltimes above 24 h are refused on PBS/LSF
+        batch::JobRequest req;
+        req.vo = vos[rng.index(vos.size())];
+        // Ids count accepted submits from 1: the id this job would get.
+        req.user_dn = "/CN=" + std::to_string(accepted.size() + 1);
+        const double runtime = rng.uniform(0.1, 8.0);
+        req.actual_runtime = Time::hours(runtime);
+        req.requested_walltime = Time::hours(rng.uniform(runtime, 30.0));
+        req.priority = static_cast<int>(rng.uniform_int(-1, 2));
+        const auto r = sched->submit(req, [&](const batch::JobOutcome& o) {
+          if (o.state == batch::JobState::kCompleted) ++completed;
+        });
+        if (r.accepted) {
+          EXPECT_EQ(r.id, accepted.size() + 1);
+          accepted.push_back(r.id);
+        } else if (req.vo == "ivdgl") {
+          ++rejected_share;
+        } else {
+          ++rejected_walltime;
+        }
+        break;
+      }
+      case 3: {  // cancel a queued, running or already finished job
+        if (accepted.empty()) break;
+        const batch::LocalJobId id = accepted[rng.index(accepted.size())];
+        const auto before = state_of(id);
+        const bool ok = sched->cancel(id);
+        EXPECT_EQ(ok, before.has_value());
+        if (before == batch::JobState::kQueued) ++cancelled_queued;
+        if (before == batch::JobState::kRunning) ++cancelled_running;
+        break;
+      }
+      case 4:
+        killed += static_cast<int>(sched->kill_running(0.3, rng));
+        break;
+      case 5:  // shrink, then grow back on the next resize
+        sched->resize(shrunk ? 4 : static_cast<int>(rng.uniform_int(1, 2)),
+                      rng);
+        shrunk = !shrunk;
+        break;
+      case 6:
+        if (rng.chance(0.5)) {
+          sched->drain();
+        } else {
+          sched->resume();
+        }
+        break;
+      case 7:
+        sim.run_until(sim.now() + Time::minutes(rng.uniform(1.0, 240.0)));
+        break;
+    }
+    check(step);
+  }
+  // Every kind of step actually happened.
+  EXPECT_GT(rejected_share, 0);
+  EXPECT_EQ(rejected_walltime > 0, sched->enforces_walltime());
+  EXPECT_GT(cancelled_queued, 0);
+  EXPECT_GT(cancelled_running, 0);
+  EXPECT_GT(killed, 0);
+  EXPECT_GT(completed, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSchedulers, SchedulerVoCounts,
+    ::testing::Values(VoCountCase{Lrms::kCondor, 31},
+                      VoCountCase{Lrms::kCondor, 32},
+                      VoCountCase{Lrms::kPbs, 33}, VoCountCase{Lrms::kPbs, 34},
+                      VoCountCase{Lrms::kLsf, 35}, VoCountCase{Lrms::kLsf, 36}),
+    [](const ::testing::TestParamInfo<VoCountCase>& info) {
+      return vo_count_case_name(info.param);
+    });
 
 // ---------------------------------------------------------------------
 // Property: network byte conservation -- completed flows deliver exactly
