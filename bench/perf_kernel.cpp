@@ -1,7 +1,7 @@
 // Microbenchmarks for the simulator kernel: event queue throughput,
 // network fair-share reallocation, scheduler matchmaking, metric bus
-// fan-out.  These bound how large a Grid3 scenario the simulator can
-// sustain.
+// fan-out, replica registration.  These bound how large a Grid3
+// scenario the simulator can sustain.
 //
 // `perf_kernel --snapshot PATH` skips google-benchmark and writes a
 // small JSON snapshot (events/sec executed, queue schedule/cancel ops
@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "batch/scheduler.h"
@@ -27,6 +28,7 @@
 #include "core/site.h"
 #include "monitoring/bus.h"
 #include "net/network.h"
+#include "rls/rls.h"
 #include "sim/simulation.h"
 #include "util/rng.h"
 
@@ -234,6 +236,31 @@ void BM_MetricBusFanout(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MetricBusFanout)->Args({1, 0})->Args({32, 0})->Args({1, 1});
+
+/// Arg: LFNs registered at one site, one per simulated minute, with the
+/// ops-loop refresh_all after every 20 registrations.  Items are
+/// registrations: the time per item stays flat while a digest costs
+/// O(changes), and would grow with the argument if every digest rebuilt
+/// the site's index.
+void BM_RlsRegisterAndRefresh(benchmark::State& state) {
+  const auto n = static_cast<int>(state.range(0));
+  std::vector<std::string> lfns;
+  for (int i = 0; i < n; ++i) lfns.push_back("lfn" + std::to_string(i));
+  for (auto _ : state) {
+    rls::ReplicaLocationService rls{"benchvo"};
+    Time now = Time::zero();
+    for (int i = 0; i < n; ++i) {
+      now += Time::minutes(1);
+      rls.register_replica("BNL", lfns[i],
+                           {"gsiftp://BNL/" + lfns[i], Bytes::gb(1), now},
+                           now);
+      if ((i + 1) % 20 == 0) rls.refresh_all(now);
+    }
+    benchmark::DoNotOptimize(rls.rli().indexed_lfns());
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_RlsRegisterAndRefresh)->Arg(1000)->Arg(4000);
 
 // --- snapshot mode ----------------------------------------------------
 

@@ -1,12 +1,21 @@
 #include "rls/rls.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
+#include <iterator>
 
 namespace grid3::rls {
 
+std::uint64_t LocalReplicaCatalog::LogId::next() {
+  static std::atomic<std::uint64_t> counter{0};
+  return ++counter;
+}
+
 void LocalReplicaCatalog::add(const std::string& lfn, Replica replica) {
-  auto& replicas = map_[lfn];
+  auto [entry, first] = map_.try_emplace(lfn);
+  if (first) changes_.push_back({lfn, true});
+  auto& replicas = entry->second;
   auto it = std::find_if(replicas.begin(), replicas.end(),
                          [&](const Replica& r) { return r.pfn == replica.pfn; });
   if (it != replicas.end()) {
@@ -26,7 +35,10 @@ bool LocalReplicaCatalog::remove(const std::string& lfn,
                                 [&](const Replica& r) { return r.pfn == pfn; }),
                  replicas.end());
   const bool removed = replicas.size() != before;
-  if (replicas.empty()) map_.erase(it);
+  if (replicas.empty()) {
+    changes_.push_back({lfn, false});
+    map_.erase(it);
+  }
   return removed;
 }
 
@@ -34,6 +46,7 @@ std::size_t LocalReplicaCatalog::remove_lfn(const std::string& lfn) {
   auto it = map_.find(lfn);
   if (it == map_.end()) return 0;
   const std::size_t n = it->second.size();
+  changes_.push_back({lfn, false});
   map_.erase(it);
   return n;
 }
@@ -54,28 +67,43 @@ std::size_t LocalReplicaCatalog::replica_count() const {
   return n;
 }
 
-std::vector<std::string> LocalReplicaCatalog::lfns() const {
-  std::vector<std::string> out;
-  out.reserve(map_.size());
-  for (const auto& [lfn, replicas] : map_) out.push_back(lfn);
-  return out;
-}
-
 void ReplicaLocationIndex::update_from(const LocalReplicaCatalog& lrc,
                                        Time now) {
   if (!up_) return;  // a down index drops digests; soft state re-heals
-  // Full-state digest: wipe the site's old contribution, then re-add.
-  for (auto it = index_.begin(); it != index_.end();) {
-    it->second.erase(lrc.site());
-    if (it->second.empty()) {
-      it = index_.erase(it);
-    } else {
-      ++it;
+  auto [slot_it, first] = slots_.try_emplace(
+      lrc.site(), static_cast<std::uint32_t>(digests_.size()));
+  const std::uint32_t slot = slot_it->second;
+  if (first) digests_.push_back({lrc.site(), now, lrc.log_id(), 0});
+  SiteDigest& d = digests_[slot];
+  if (d.log_id != lrc.log_id()) {
+    // A catalog this index has not consumed under the site name: drop
+    // the site's old contribution, then replay the whole new log.
+    for (auto it = index_.begin(); it != index_.end();) {
+      std::erase(it->second, slot);
+      it = it->second.empty() ? index_.erase(it) : std::next(it);
     }
+    d.log_id = lrc.log_id();
+    d.cursor = 0;
   }
-  for (const std::string& lfn : lrc.lfns()) {
-    index_[lfn][lrc.site()] = now;
-  }
+  const std::vector<LfnChange>& log = lrc.changes();
+  for (; d.cursor < log.size(); ++d.cursor) apply(log[d.cursor], slot);
+  d.refreshed = now;
+}
+
+void ReplicaLocationIndex::apply(const LfnChange& change, std::uint32_t slot) {
+  auto it = change.present ? index_.try_emplace(change.lfn).first
+                           : index_.find(change.lfn);
+  if (it == index_.end()) return;
+  auto& sites = it->second;
+  auto pos = std::lower_bound(
+      sites.begin(), sites.end(), digests_[slot].site,
+      [this](std::uint32_t s, const std::string& name) {
+        return digests_[s].site < name;
+      });
+  const bool listed = pos != sites.end() && *pos == slot;
+  if (change.present && !listed) sites.insert(pos, slot);
+  if (!change.present && listed) sites.erase(pos);
+  if (sites.empty()) index_.erase(it);
 }
 
 std::vector<std::string> ReplicaLocationIndex::sites_with(
@@ -84,8 +112,9 @@ std::vector<std::string> ReplicaLocationIndex::sites_with(
   if (!up_) return out;
   auto it = index_.find(lfn);
   if (it == index_.end()) return out;
-  for (const auto& [site, refreshed] : it->second) {
-    if (now - refreshed <= ttl_) out.push_back(site);
+  for (const std::uint32_t slot : it->second) {
+    const SiteDigest& d = digests_[slot];
+    if (now - d.refreshed <= ttl_) out.push_back(d.site);
   }
   return out;
 }
@@ -95,8 +124,11 @@ bool ReplicaLocationIndex::knows(const std::string& lfn,
   if (!up_) return false;
   auto it = index_.find(lfn);
   if (it == index_.end()) return false;
-  auto jt = it->second.find(site);
-  return jt != it->second.end() && now - jt->second <= ttl_;
+  for (const std::uint32_t slot : it->second) {
+    const SiteDigest& d = digests_[slot];
+    if (d.site == site) return now - d.refreshed <= ttl_;
+  }
+  return false;
 }
 
 LocalReplicaCatalog& ReplicaLocationService::lrc_for(const std::string& site) {

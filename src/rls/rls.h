@@ -6,6 +6,14 @@
 // RLIs on a period, so the index can lag the catalogs -- consumers must
 // tolerate a bounded staleness window, and the tests pin that behaviour.
 //
+// Delta digests: a digest means "this is the LRC's full state now", but
+// the index applies it as a delta.  Each LRC keeps an append-only log of
+// LFN membership changes; the index keeps, per site, the time of the
+// last accepted digest and a cursor into that site's log, and a digest
+// applies only the log entries past the cursor.  A digest therefore
+// costs O(membership changes since the site's last accepted digest),
+// and its result equals a wipe-and-rebuild of the site's contribution.
+//
 // Outage degradation: the service endpoint and the RLI each carry an
 // availability flag.  Registrations attempted while the endpoint (or
 // the target LRC) is down land in a per-VO write-ahead journal -- the
@@ -34,6 +42,13 @@ struct Replica {
   Time registered;
 };
 
+/// One LFN membership change in an LRC: the LFN gained its first replica
+/// (`present`) or lost its last one.
+struct LfnChange {
+  std::string lfn;
+  bool present = false;
+};
+
 /// Local Replica Catalog: authoritative per-site LFN -> PFN mappings.
 class LocalReplicaCatalog {
  public:
@@ -51,16 +66,47 @@ class LocalReplicaCatalog {
   [[nodiscard]] std::size_t lfn_count() const { return map_.size(); }
   [[nodiscard]] std::size_t replica_count() const;
 
-  /// All LFNs (digest payload for RLI soft-state updates).
-  [[nodiscard]] std::vector<std::string> lfns() const;
+  /// LFN membership changes in the order they happened: the digest
+  /// payload for RLI soft-state updates.  Append-only, so a reader's
+  /// position in it stays valid; replaying it from the start rebuilds
+  /// the current LFN set.
+  [[nodiscard]] const std::vector<LfnChange>& changes() const {
+    return changes_;
+  }
+  /// Process-unique id of this object's change log.  A copy starts a new
+  /// log id; a move hands the id over and gives the source a new one.
+  [[nodiscard]] std::uint64_t log_id() const { return log_id_.value; }
 
   void set_available(bool up) { up_ = up; }
   [[nodiscard]] bool available() const { return up_; }
 
  private:
+  struct LogId {
+    static std::uint64_t next();
+    std::uint64_t value = next();
+    LogId() = default;
+    LogId(const LogId& /*other*/) {}
+    LogId(LogId&& other) noexcept : value{other.value} {
+      other.value = next();
+    }
+    LogId& operator=(const LogId& other) {
+      if (this != &other) value = next();
+      return *this;
+    }
+    LogId& operator=(LogId&& other) noexcept {
+      if (this != &other) {
+        value = other.value;
+        other.value = next();
+      }
+      return *this;
+    }
+  };
+
   std::string site_;
   bool up_ = true;
   std::map<std::string, std::vector<Replica>> map_;
+  std::vector<LfnChange> changes_;
+  LogId log_id_;
 };
 
 /// Replica Location Index: LFN -> set of LRC sites, fed by soft-state.
@@ -70,8 +116,14 @@ class ReplicaLocationIndex {
 
   [[nodiscard]] const std::string& name() const { return name_; }
 
-  /// Accept a full-state digest from one LRC (replaces that site's
-  /// previous contribution).  Entries expire after `ttl` without refresh.
+  /// Accept a digest from one LRC.  The result is that of a full-state
+  /// digest -- the site's previous contribution is replaced by the LRC's
+  /// current LFN set, all stamped `now` -- but the cost is O(membership
+  /// changes since the site's last accepted digest): a registration of a
+  /// new LFN is one O(log n) insert, a refresh of an unchanged LRC O(1).
+  /// An LRC object not consumed before under its site name (a new
+  /// catalog for a known site) replays its whole log after the site's old
+  /// entries are dropped.  Entries expire after `ttl` without refresh.
   void update_from(const LocalReplicaCatalog& lrc, Time now);
 
   /// Sites whose LRC advertised the LFN at last refresh and whose entry
@@ -88,9 +140,10 @@ class ReplicaLocationIndex {
   [[nodiscard]] Time ttl() const { return ttl_; }
   void set_ttl(Time ttl) { ttl_ = ttl; }
 
-  /// A down index answers nothing and drops incoming digests (soft
-  /// state heals itself: the next refresh after recovery re-pushes the
-  /// full catalog).
+  /// A down index answers nothing and drops incoming digests, leaving
+  /// each site's log cursor where it was (soft state heals itself: the
+  /// first digest after recovery applies every change since the site's
+  /// last accepted one).
   void set_available(bool up) { up_ = up; }
   [[nodiscard]] bool available() const { return up_; }
 
@@ -100,10 +153,22 @@ class ReplicaLocationIndex {
   std::string name_;
   bool up_ = true;
   Time ttl_ = Time::minutes(30);
-  // lfn -> site -> last refresh time.  The outer index is unordered
-  // (hot lookups hash once); the inner site map stays ordered so
-  // sites_with keeps returning name-sorted sites.
-  std::unordered_map<std::string, std::map<std::string, Time>> index_;
+  // A full-state digest stamps every LFN of a site with the same time,
+  // so freshness is one `refreshed` time per site.
+  struct SiteDigest {
+    std::string site;
+    Time refreshed;
+    std::uint64_t log_id = 0;  ///< the LRC whose log `cursor` points into
+    std::size_t cursor = 0;    ///< log entries already applied
+  };
+  void apply(const LfnChange& change, std::uint32_t slot);
+
+  std::vector<SiteDigest> digests_;                       // by slot
+  std::unordered_map<std::string, std::uint32_t> slots_;  // site -> slot
+  // lfn -> slots of the sites that advertised it at their last accepted
+  // digest, in site-name order so sites_with returns name-sorted sites.
+  // The outer index is unordered (hot lookups hash once).
+  std::unordered_map<std::string, std::vector<std::uint32_t>> index_;
 };
 
 /// One logged registration intent.  Write-ahead: the entry exists
